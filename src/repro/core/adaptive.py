@@ -21,7 +21,7 @@ import numpy as np
 from repro.distances import Metric, pairwise_distances
 from repro.evalx.ground_truth import GroundTruth
 from repro.evalx.metrics import recall_per_query
-from repro.graphs.search import SearchResult
+from repro.graphs.search import SearchResult, pad_results
 from repro.utils.validation import check_matrix, check_positive
 
 
@@ -120,11 +120,7 @@ class AdaptiveSearcher:
         else:
             results = [self.index.search(queries[i], k=k, ef=ef)
                        for i in members]
-        found = np.full((len(results), k), -1, dtype=np.int64)
-        for row, result in enumerate(results):
-            ids = result.ids[:k]
-            found[row, :len(ids)] = ids
-        return found
+        return pad_results(results, k)[0]
 
     def ef_for(self, query: np.ndarray) -> int:
         """The calibrated ef for one query."""

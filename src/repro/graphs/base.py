@@ -10,7 +10,7 @@ import numpy as np
 from repro.distances import DistanceComputer, Metric
 from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search)
+                                 greedy_search, pad_results)
 
 
 def medoid_id(dc: DistanceComputer) -> int:
@@ -130,17 +130,11 @@ class GraphIndex(abc.ABC):
         two paths return identical results).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
         if batch_size == 1:
-            results = (self.search(query, k=k, ef=ef) for query in queries)
+            results = [self.search(query, k=k, ef=ef) for query in queries]
         else:
             results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(results, k)
 
     def clone(self) -> "GraphIndex":
         """An independent copy sharing nothing mutable with the original.

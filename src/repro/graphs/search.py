@@ -121,6 +121,21 @@ class SearchResult:
     degraded: bool = False
 
 
+def pad_results(results, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-query results into padded ``(ids, distances)`` arrays.
+
+    Rows with fewer than ``k`` results are padded with id -1 / distance inf.
+    """
+    results = list(results)
+    ids = np.full((len(results), k), -1, dtype=np.int64)
+    distances = np.full((len(results), k), np.inf)
+    for i, result in enumerate(results):
+        m = min(k, len(result.ids))
+        ids[i, :m] = result.ids[:m]
+        distances[i, :m] = result.distances[:m]
+    return ids, distances
+
+
 def greedy_search(
     dc: DistanceComputer,
     neighbors_fn,

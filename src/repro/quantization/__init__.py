@@ -12,8 +12,7 @@ from repro.quantization.kmeans import kmeans
 from repro.quantization.pq import ProductQuantizer
 from repro.quantization.adc import ADCComputer
 from repro.quantization.searcher import (PQRerankSearcher, exact_rerank,
-                                         fallback_shortlist, pq_greedy_search,
-                                         visited_shortlist)
+                                         fallback_shortlist, visited_shortlist)
 from repro.quantization.ivf import IVFFlat
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "ProductQuantizer",
     "ADCComputer",
     "PQRerankSearcher",
-    "pq_greedy_search",
     "exact_rerank",
     "fallback_shortlist",
     "visited_shortlist",

@@ -1,9 +1,10 @@
 """ADC distance computer: the PQ-resident scoring kernel for graph search.
 
 :class:`ADCComputer` is a drop-in for the ``dc`` slot of
-:class:`~repro.graphs.search.BatchSearchEngine` (and of the sequential PQ
-traversal) that scores candidates with asymmetric-distance table lookups
-over a resident uint8 code matrix instead of full-precision rows.  The
+:class:`~repro.graphs.search.BatchSearchEngine` and of
+:func:`~repro.graphs.search.greedy_search` that scores candidates with
+asymmetric-distance table lookups over a resident uint8 code matrix
+instead of full-precision rows.  The
 full-precision :class:`~repro.distances.DistanceComputer` stays attached as
 ``base`` and is touched only for query preparation, incremental re-encoding,
 and the caller's exact re-rank of the final shortlist — which is the whole
@@ -57,6 +58,7 @@ class ADCComputer:
         # faster than one 3-d fancy-index on the same data).
         self._codes_t = np.ascontiguousarray(self.codes.T)
         self._offsets = (np.arange(self.pq.m) * self.pq.ks).astype(np.int64)
+        self._subspaces = np.arange(self.pq.m)[:, None]  # to_query rows
         self._flat_tables: np.ndarray | None = None  # (B * m * ks,) per block
         self._table: np.ndarray | None = None        # (m, ks) sequential path
 
@@ -147,18 +149,33 @@ class ADCComputer:
     # -- sequential scoring --------------------------------------------------
 
     def begin_query(self, q: np.ndarray) -> np.ndarray:
-        """Prepare the single-query ADC table (sequential counterpart)."""
+        """Prepare the single-query ADC table (sequential counterpart).
+
+        Built as a block of one so it equals the row :meth:`begin_block`
+        would build for the same query.
+        """
         self.sync()
-        self._table = self.pq.adc_table(q)
+        self._table = np.ascontiguousarray(
+            self.pq.adc_tables(np.asarray(q)[None, :])[0])
         return self._table
 
     def to_query(self, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """ADC scores against the table prepared by :meth:`begin_query`."""
+        """ADC scores against the table prepared by :meth:`begin_query`.
+
+        One 2-d gather over the ``(m, n)`` code columns: a single expansion
+        scores a few dozen ids, where the block kernel's ``m`` takes cost
+        several times more.  ``cumsum`` down the subspace axis adds in the
+        block kernel's order (``sum`` would reorder), so a query scores
+        bit-identically on either path.
+        """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and int(ids.max()) >= self.codes.shape[0]:
+        try:
+            codes = self._codes_t[:, ids]
+        except IndexError:  # id published after begin_query's sync
             self.sync()
+            codes = self._codes_t[:, ids]
         self.ndc += ids.shape[0]
-        return self.pq.adc_distances(self.codes[ids], self._table)
+        return self._table[self._subspaces, codes].cumsum(axis=0)[-1]
 
     def all_scores(self, table: np.ndarray) -> np.ndarray:
         """ADC scores of every code row against one table (fallback scan)."""

@@ -6,129 +6,37 @@ lookups instead of a full d-dimensional distance, then the shortlist is
 re-ranked exactly.  Full-precision NDC drops to the re-rank budget; the
 cheap lookups are counted separately so benches can report both.
 
-Two traversal paths share the machinery: :func:`pq_greedy_search` is the
-sequential beam (mirroring :func:`~repro.graphs.search.greedy_search`'s
-entry handling, visited bookkeeping, tombstone traversal, and deadline
-degradation), and :class:`PQRerankSearcher.search_batch` drives the
-lock-step :class:`~repro.graphs.search.BatchSearchEngine` over an
-:class:`~repro.quantization.adc.ADCComputer`, so the whole frontier of a
-query block is scored with one table gather per hop.
+Traversal is the ordinary search run over an
+:class:`~repro.quantization.adc.ADCComputer` in the ``dc`` slot: one query
+walks :func:`~repro.graphs.search.greedy_search`, a block walks the
+lock-step :class:`~repro.graphs.search.BatchSearchEngine` (one table gather
+per hop for the whole frontier).  Both collect the visited set, which
+:func:`visited_shortlist` cuts to the re-rank budget and
+:func:`exact_rerank` scores exactly.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-
 import numpy as np
 
 from repro.distances import DistanceComputer
-from repro.graphs.search import BatchSearchEngine, SearchResult, VisitedTable
+from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
+                                 greedy_search, pad_results)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
-
-
-def pq_greedy_search(
-    pq: ProductQuantizer,
-    codes: np.ndarray,
-    neighbors_fn,
-    entry_points,
-    table: np.ndarray,
-    k: int,
-    ef: int,
-    visited: VisitedTable | None = None,
-    excluded: set[int] | None = None,
-    deadline: float | None = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Greedy beam search scored entirely by ADC lookups.
-
-    Returns ``(candidate ids best-first, number of ADC scorings,
-    degraded)``.  Distances are approximate, so callers re-rank the output
-    exactly.  The returned candidates are *every* node the beam scored (not
-    just the final ef-pool), ordered by ADC distance: the visited set is a
-    strict superset of the pool, so re-ranking a shortlist of it recovers
-    recall the approximate ordering lost without widening the beam — the
-    OOD-DiskANN recipe.  Entry handling mirrors
-    :func:`~repro.graphs.search.greedy_search`: excluded (tombstoned)
-    entries still seed the traversal — they navigate but never surface —
-    and a reused visited table is regrown to the code matrix before
-    stamping, so searches stay valid after incremental inserts.
-    ``deadline`` (absolute ``time.perf_counter()``) stops the expansion
-    best-so-far once it passes.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    ef = max(ef, k)
-    if visited is None:
-        visited = VisitedTable(codes.shape[0])
-    # A reused table may predate incremental insertion; without this,
-    # stamping new node ids raises IndexError (same fix as greedy_search).
-    visited.grow(codes.shape[0])
-    visited.next_epoch()
-
-    entry_ids = np.unique(np.asarray(list(entry_points), dtype=np.int64))
-    if entry_ids.size == 0:
-        raise ValueError("at least one entry point is required")
-    visited.mark_many(entry_ids)
-    entry_d = pq.adc_distances(codes[entry_ids], table)
-    n_scored = int(entry_ids.size)
-    all_ids, all_d = [entry_ids], [entry_d]
-
-    candidates: list[tuple[float, int]] = []
-    results: list[tuple[float, int]] = []
-    for node, dist in zip(entry_ids.tolist(), entry_d.tolist()):
-        heapq.heappush(candidates, (dist, node))
-        if excluded is None or node not in excluded:
-            heapq.heappush(results, (-dist, node))
-    while len(results) > ef:
-        heapq.heappop(results)
-
-    degraded = False
-    while candidates:
-        if deadline is not None and time.perf_counter() > deadline:
-            degraded = True
-            break
-        dist_u, u = heapq.heappop(candidates)
-        if len(results) >= ef and dist_u > -results[0][0]:
-            break
-        neigh = neighbors_fn(u)
-        if neigh.size == 0:
-            continue
-        fresh = visited.filter_unvisited(neigh)
-        if fresh.size == 0:
-            continue
-        dists = pq.adc_distances(codes[fresh], table)
-        n_scored += int(fresh.size)
-        all_ids.append(fresh)
-        all_d.append(dists)
-        for node, dist in zip(fresh.tolist(), dists.tolist()):
-            if len(results) >= ef and dist >= -results[0][0]:
-                continue
-            heapq.heappush(candidates, (dist, node))
-            if excluded is None or node not in excluded:
-                heapq.heappush(results, (-dist, node))
-                if len(results) > ef:
-                    heapq.heappop(results)
-
-    ids = np.concatenate(all_ids)
-    d = np.concatenate(all_d)
-    if excluded:
-        keep = np.fromiter((int(i) not in excluded for i in ids),
-                           dtype=bool, count=ids.shape[0])
-        ids, d = ids[keep], d[keep]
-    order = np.lexsort((ids, d))  # distance-then-id, matching the heap order
-    return ids[order], n_scored, degraded
 
 
 def visited_shortlist(ids: np.ndarray, dists: np.ndarray,
                       excluded: set[int] | None, budget: int) -> np.ndarray:
     """Top-``budget`` non-excluded visited nodes by ADC distance.
 
-    The batched counterpart of :func:`pq_greedy_search`'s output: excluded
-    (tombstoned/removed) nodes navigated during traversal but must never
-    reach the exact re-rank, and of what remains only the ``budget``
-    ADC-best are worth full-precision distances.
+    Excluded (tombstoned/removed) nodes navigated during traversal but
+    must never reach the exact re-rank, and of what remains only the
+    ``budget`` ADC-best are worth full-precision distances.  The visited
+    set is a strict superset of the final pool, so re-ranking a shortlist
+    of it recovers recall the approximate ordering lost without widening
+    the beam — the OOD-DiskANN recipe.
     """
     if ids is None or ids.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -266,7 +174,7 @@ class PQRerankSearcher:
         """Re-encode vectors appended since the last search (incremental)."""
         return self.adc.sync()
 
-    # -- sequential path -----------------------------------------------------
+    # -- search paths -------------------------------------------------------
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                deadline: float | None = None) -> SearchResult:
@@ -274,34 +182,18 @@ class PQRerankSearcher:
         if ef is None:
             ef = max(k, 10)
         q = self.dc.prepare_query(query)
-        table = self.adc.begin_query(q)  # syncs codes first
-        budget = max(self.rerank, k)
-        excluded = self.index.adjacency.excluded_ids()
+        self.adc.begin_query(q)  # syncs codes first
+        adc0 = self.adc.ndc
         # The shortlist draws from everything the beam scored, so the beam
         # itself runs at the caller's ef — the re-rank budget does not
         # widen the traversal.
-        shortlist, n_scored, degraded = pq_greedy_search(
-            self.pq, self.adc.codes, self.index.adjacency.neighbors,
-            self.index.entry_points(q), table, k=k,
-            ef=max(ef, k), visited=self._visited, excluded=excluded,
-            deadline=deadline)
-        self.adc_scored += n_scored
-        shortlist = shortlist[:budget]
-        if shortlist.size == 0:
-            shortlist = fallback_shortlist(self.adc, table, excluded, budget)
-            self.adc_scored += self.adc.codes.shape[0]
-        if shortlist.size == 0:
-            return SearchResult(ids=np.empty(0, dtype=np.int64),
-                                distances=np.empty(0, dtype=np.float64),
-                                degraded=degraded)
-        exact = self.dc.to_query(shortlist, q)
-        self.rerank_ndc += int(shortlist.size)
-        order = np.argsort(exact, kind="stable")[:k]
-        return SearchResult(ids=shortlist[order],
-                            distances=exact[order].astype(np.float64),
-                            degraded=degraded)
-
-    # -- batched path --------------------------------------------------------
+        approx = greedy_search(
+            self.adc, self.index.adjacency.neighbors,
+            self.index.entry_points(q), q, k=k, ef=ef,
+            visited=self._visited,
+            excluded=self.index.adjacency.excluded_ids(),
+            collect_visited=True, prepared=True, deadline=deadline)
+        return self._rerank(q[None, :], [approx], k, adc0)[0]
 
     def _batch_engine(self, batch_size: int) -> BatchSearchEngine:
         engine = self._engine
@@ -332,27 +224,31 @@ class PQRerankSearcher:
             raise ValueError(f"k must be positive, got {k}")
         if ef is None:
             ef = max(k, 10)
-        budget = max(self.rerank, k)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         adc0 = self.adc.ndc
         qmat = self.dc.prepare_queries(queries)
-        # The beam runs at the caller's ef; the shortlist is carved from the
-        # *visited* set (every ADC-scored node), so a large re-rank budget
-        # costs exact distance computations, not traversal width.
         approx = self._batch_engine(batch_size).search_batch(
-            qmat, k=k, ef=max(ef, k), deadline=deadline,
+            qmat, k=k, ef=ef, deadline=deadline,
             collect_visited=True, prepared=True)
+        return self._rerank(qmat, approx, k, adc0)
+
+    def _rerank(self, qmat: np.ndarray, approx: list[SearchResult], k: int,
+                adc0: int) -> list[SearchResult]:
+        """Shortlist each walk's visited set, then re-rank it exactly.
+
+        A walk that surfaced nothing (every entry tombstoned and edgeless)
+        falls back to a brute-force ADC scan of the code matrix.
+        """
+        budget = max(self.rerank, k)
         excluded = self.index.adjacency.excluded_ids()
-        shortlists = [
-            visited_shortlist(r.visited_ids, r.visited_distances,
-                              excluded, budget)
-            for r in approx]
-        empties = [i for i, s in enumerate(shortlists) if s.size == 0]
-        if empties:
-            for i in empties:
-                table = self.pq.adc_table(qmat[i])
-                shortlists[i] = fallback_shortlist(self.adc, table,
-                                                   excluded, budget)
+        shortlists = []
+        for i, r in enumerate(approx):
+            shortlist = visited_shortlist(r.visited_ids, r.visited_distances,
+                                          excluded, budget)
+            if shortlist.size == 0:
+                shortlist = fallback_shortlist(
+                    self.adc, self.pq.adc_table(qmat[i]), excluded, budget)
+            shortlists.append(shortlist)
         results, exact_ndc = exact_rerank(
             self.dc, qmat, shortlists, k,
             degraded=[r.degraded for r in approx],
@@ -364,12 +260,5 @@ class PQRerankSearcher:
     def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Batched search returning padded (ids, distances) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(self.search_batch(queries, k, ef,
+                                             batch_size=batch_size), k)

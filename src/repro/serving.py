@@ -48,10 +48,12 @@ import numpy as np
 from repro.control.policy import CadencePolicy, MaintenancePolicy
 from repro.faults import FAULTS
 from repro.graphs.csr import CSRGraphView
-from repro.graphs.search import BatchSearchEngine, SearchResult, VisitedTable, greedy_search
+from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
+                                 greedy_search, pad_results)
 from repro.obs import OBS, SECONDS_BUCKETS, TRACES, QueryTrace
 from repro.quantization.searcher import (exact_rerank, fallback_shortlist,
-                                         pq_greedy_search, visited_shortlist)
+                                         visited_shortlist)
+from repro.tuning.config import BinSetting
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -445,39 +447,40 @@ class ServingSearcher:
     hysteresis, or the O(E) ``freeze`` — epoch-consistency and wait-freedom
     come from the pin.
 
+    **Two execution paths, chosen by input shape.**  One query walks
+    :func:`~repro.graphs.search.greedy_search`; a block runs as one or more
+    groups (the planner's bins, or a single group at an explicit ``ef``)
+    through a cached :class:`~repro.graphs.search.BatchSearchEngine`.  A
+    block of one through the engine costs several times a scalar walk, so
+    scalar search stays on the heap-based beam.
+
     **Compressed mode.**  When an :class:`~repro.quantization.adc.ADCComputer`
-    is attached (``adc=``), traversal scoring runs over its resident uint8
-    code matrix — ADC table lookups instead of full-precision rows — and
-    only the top-``rerank`` shortlist is re-scored exactly against ``dc``.
-    With a memmap-backed ``dc`` the raw vectors stay on disk and the
-    re-rank gather is the only thing that pages them in.  Tombstone/removed
-    exclusion, ``deadline_ms`` degradation, and epoch pinning behave
-    identically to the uncompressed path.
+    is attached (``adc=``), either path scores traversal with it — ADC table
+    lookups over the resident uint8 codes instead of full-precision rows —
+    collecting the visited set, and both then take the same shortlist →
+    exact re-rank step (:meth:`_rerank`): only the top-``rerank`` visited
+    ids are re-scored exactly against ``dc``.  With a memmap-backed ``dc``
+    the raw vectors stay on disk and the re-rank gather is the only thing
+    that pages them in.  Tombstone/removed exclusion, ``deadline_ms``
+    degradation, and epoch pinning behave identically to the uncompressed
+    path.
     """
 
-    def __init__(self, fixer, manager: EpochManager, batch_size: int = 32,
-                 adc=None, rerank: int = 50, beam_width: int | None = None):
+    def __init__(self, fixer, manager: EpochManager, adc=None,
+                 rerank: int = 50, beam_width: int | None = None):
         self.fixer = fixer
         self.manager = manager
         self.adc = adc
         self.rerank = rerank
-        # Default beam: wide only where scoring is cheap (ADC); the
-        # full-precision engine keeps width 1 (sequential equivalence).
-        # An explicit beam_width overrides — shard-sized graphs at small
-        # ef are lock-step-round-bound, and a wide beam cuts rounds at the
-        # cost of a few extra (vectorized, cheap) distance evaluations.
-        if beam_width is None:
-            beam_width = 4 if adc is not None else 1
+        # Configured engine beam; None resolves per group (see _beam).
         self.beam_width = beam_width
         self._visited = VisitedTable(fixer.dc.size)
-        self._engine: BatchSearchEngine | None = None
-        self._engine_batch = batch_size
+        self._engines: dict[tuple, BatchSearchEngine] = {}
         self._block_pin: EpochPin | None = None
         # Hardness-aware query planner (repro.tuning).  None — the default —
         # leaves every search path bit-identical to the planner-less stack;
         # attach_planner() routes ef-less searches through per-bin settings.
         self.planner = None
-        self._planned_engines: dict[tuple, BatchSearchEngine] = {}
         self.n_degraded = 0
         self.adc_scored = 0     # cumulative ADC scorings (compressed mode)
         self.rerank_ndc = 0     # cumulative exact re-rank computations
@@ -499,21 +502,19 @@ class ServingSearcher:
     def compressed(self) -> bool:
         return self.adc is not None
 
-    def attach_adc(self, adc, rerank: int | None = None,
-                   beam_width: int = 4) -> None:
-        """Swap in (or install) an ADC computer and invalidate the engine.
+    def attach_adc(self, adc, rerank: int | None = None) -> None:
+        """Swap in (or install) an ADC computer and drop the cached engines.
 
-        The cached :class:`BatchSearchEngine` keys on batch size and beam
-        width but not on the distance computer, so a codebook swap (e.g.
-        the cluster router shipping a shared PQ) must drop it explicitly —
-        otherwise blocks would keep scoring with the old codes.
+        Cached engines key on beam width, route and entry strategy but not
+        on the distance computer, so a codebook swap (e.g.
+        the cluster router shipping a shared PQ) must drop them explicitly —
+        otherwise blocks would keep scoring with the old codes.  The
+        configured beam width is kept.
         """
         self.adc = adc
         if rerank is not None:
             self.rerank = rerank
-        self.beam_width = beam_width if adc is not None else 1
-        self._engine = None
-        self._planned_engines.clear()
+        self._engines.clear()
 
     def attach_planner(self, planner) -> None:
         """Install (or remove) the hardness-aware query planner.
@@ -524,7 +525,6 @@ class ServingSearcher:
         planner-less behavior exactly.
         """
         self.planner = planner
-        self._planned_engines.clear()
 
     def stats(self) -> dict:
         """Aggregatable searcher counters (summed across shards via
@@ -540,57 +540,13 @@ class ServingSearcher:
             out["planner"] = self.planner.stats()
         return out
 
-    def _rerank_exact(self, shortlist: np.ndarray, q: np.ndarray, k: int,
-                      degraded: bool) -> SearchResult:
-        """Exact re-rank of one shortlist; the path's only full-dim touches."""
-        t0 = time.perf_counter()
-        if shortlist.size:
-            exact = self.dc.to_query(shortlist, q)
-            order = np.argsort(exact, kind="stable")[:k]
-            result = SearchResult(ids=shortlist[order],
-                                  distances=exact[order].astype(np.float64),
-                                  degraded=degraded)
-        else:
-            result = SearchResult(ids=np.empty(0, dtype=np.int64),
-                                  distances=np.empty(0, dtype=np.float64),
-                                  degraded=degraded)
-        elapsed = time.perf_counter() - t0
-        self.rerank_ndc += int(shortlist.size)
-        self.pagein_seconds += elapsed
-        if OBS.enabled:
-            _RERANK_NDC.observe(int(shortlist.size))
-            _PAGEIN_SECONDS.inc(elapsed)
-        return result
+    def _note_degraded(self, results: list[SearchResult]) -> None:
+        n_degraded = sum(1 for r in results if r.degraded)
+        if n_degraded:
+            self.n_degraded += n_degraded
+            _DEGRADED.inc(n_degraded)
 
-    def _search_compressed(self, q: np.ndarray, k: int, ef: int,
-                           deadline: float | None,
-                           rerank: int | None = None,
-                           ) -> tuple[SearchResult, tuple[int, int, float]]:
-        """Sequential compressed search against a pinned epoch view."""
-        budget = max(rerank if rerank is not None else self.rerank, k)
-        with self.manager.pin() as pin:
-            view = pin.view
-            table = self.adc.begin_query(q)  # syncs codes incrementally
-            excluded = view.excluded()
-            # The beam runs at the caller's ef; the shortlist draws from all
-            # visited (ADC-scored) nodes, so the re-rank budget costs exact
-            # distances only, not traversal width.
-            shortlist, n_scored, degraded = pq_greedy_search(
-                self.adc.pq, self.adc.codes, view, [pin.epoch.entry], table,
-                k=k, ef=max(ef, k), visited=self._visited,
-                excluded=excluded, deadline=deadline)
-            shortlist = shortlist[:budget]
-            if shortlist.size == 0:
-                shortlist = fallback_shortlist(self.adc, table, excluded,
-                                               budget)
-                n_scored += self.adc.codes.shape[0]
-            self.adc_scored += n_scored
-            result = self._rerank_exact(shortlist, q, k, degraded)
-            if OBS.enabled:
-                _COMPRESSED_QUERIES.inc()
-                _ADC_SCORED.inc(n_scored)
-            trace = (pin.epoch.epoch_id, view.seq, pin.age())
-        return result, trace
+    # -- one query: greedy_search -------------------------------------------
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None,
                collect_visited: bool = False,
@@ -629,40 +585,26 @@ class ServingSearcher:
             ndc0 = dc.ndc
         use_adc = self.adc is not None and (
             setting is None or setting.route != "exact")
-        if use_adc:
-            result, (epoch_id, seq, pin_s) = self._search_compressed(
-                q, k, ef, deadline,
-                rerank=setting.rerank if setting is not None else None)
-            if result.degraded:
-                self.n_degraded += 1
-                _DEGRADED.inc()
-            if track:
-                trace = QueryTrace(
-                    k=k, ef=ef, n_hops=result.n_hops, ndc=dc.ndc - ndc0,
-                    frontier_peak=result.frontier_peak,
-                    epoch_id=epoch_id, overlay_seq=seq, pin_seconds=pin_s,
-                    elapsed_seconds=time.perf_counter() - t0,
-                    queue_depth=(self.queue_depth_fn()
-                                 if self.queue_depth_fn is not None else 0),
-                    degraded=result.degraded,
-                )
-                if telemetry:
-                    _SERVE_QUERIES.inc()
-                    TRACES.record(trace)
-                if sink is not None:
-                    sink(trace, query=q)
-            return result
         with self.manager.pin() as pin:
             view = pin.view
+            if use_adc:
+                # Syncs codes after the pin, so they cover every id it sees.
+                self.adc.begin_query(q)
+                adc0 = self.adc.ndc
+            # The compressed walk runs at the caller's ef; the shortlist
+            # draws from everything it scored, so the re-rank budget costs
+            # exact distances only, not traversal width.
             result = greedy_search(
-                dc, view, [pin.epoch.entry], q, k=k, ef=ef,
-                visited=self._visited, excluded=view.excluded(),
-                collect_visited=collect_visited, prepared=True,
+                self.adc if use_adc else dc, view, [pin.epoch.entry], q,
+                k=k, ef=ef, visited=self._visited, excluded=view.excluded(),
+                collect_visited=collect_visited or use_adc, prepared=True,
                 deadline=deadline,
             )
-            if result.degraded:
-                self.n_degraded += 1
-                _DEGRADED.inc()
+            if use_adc:
+                result = self._rerank(
+                    q[None, :], [result], k,
+                    setting.rerank if setting is not None else None, adc0)[0]
+            self._note_degraded([result])
             if track:
                 trace = QueryTrace(
                     k=k, ef=ef, n_hops=result.n_hops,
@@ -682,7 +624,7 @@ class ServingSearcher:
                     sink(trace, query=q)
         return result
 
-    # -- batched path -------------------------------------------------------
+    # -- a block: BatchSearchEngine -----------------------------------------
 
     def _pin_block(self) -> EpochView:
         """graph_fn hook: re-pin at each engine block boundary."""
@@ -693,6 +635,74 @@ class ServingSearcher:
 
     def _block_excluded(self) -> set[int] | None:
         return self._block_pin.view.excluded()
+
+    def _block_entries(self, qmat: np.ndarray) -> list[int]:
+        """The epoch entry, shared by every row of the block."""
+        return [self._block_pin.epoch.entry]
+
+    def _planned_block_entries(self, qmat: np.ndarray) -> list[int]:
+        """Epoch entry plus the planner's adaptive landmark entry (if any)."""
+        view = self._block_pin.view
+        entries = [self._block_pin.epoch.entry]
+        if self.planner is not None:
+            extra = self.planner.entry_for_block(
+                qmat, n_nodes=view.epoch.n_nodes, excluded=view.excluded())
+            if extra is not None and extra not in entries:
+                entries.append(extra)
+        return entries
+
+    def _beam(self, setting, use_adc: bool) -> int:
+        """Engine beam width for one group.
+
+        A bin's own width wins, then the configured one (shard-sized graphs
+        at small ef are lock-step-round-bound, and a wide beam cuts rounds
+        at the cost of a few extra vectorized distance evaluations).  The
+        default is wide (4) only where scoring is cheap (ADC) and 1 for
+        full precision (sequential equivalence).  The exact route on a compressed store
+        stays at 1 unless its bin says otherwise: the wide ADC beam exists
+        to absorb quantization noise that full-precision walks don't pay.
+        """
+        if setting.beam_width is not None:
+            return int(setting.beam_width)
+        if not use_adc and self.adc is not None:
+            return 1
+        if self.beam_width is not None:
+            return self.beam_width
+        return 4 if use_adc else 1
+
+    def _engine(self, batch_size: int, beam: int, use_adc: bool,
+                planned: bool) -> BatchSearchEngine:
+        """The cached engine for one (beam, route, entries) shape.
+
+        Only planner-routed groups seed the planner's landmark entry; an
+        explicit ``ef`` walks from the epoch entry alone.  The batch size is
+        not part of the key: the engine reads it only to chunk its input and
+        grows its visited table on demand, so every block size shares one
+        engine (and one table sized for the largest block seen).
+        """
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        key = (beam, use_adc, planned)
+        engine = self._engines.get(key)
+        if engine is None:
+            engine = BatchSearchEngine(
+                self.adc if use_adc else self.dc,
+                # Fallbacks never used: graph_fn always supplies a view and
+                # the block entry function always answers.
+                lambda u: self._block_pin.view(u),
+                lambda q: [self._block_pin.epoch.entry],
+                excluded_fn=self._block_excluded,
+                batch_size=batch_size,
+                graph_fn=self._pin_block,
+                beam_width=beam,
+                # The entries are query-independent: seed them once per
+                # block instead of once per query.
+                entry_points_block_fn=(self._planned_block_entries if planned
+                                       else self._block_entries),
+            )
+            self._engines[key] = engine
+        engine.batch_size = batch_size
+        return engine
 
     def search_batch(self, queries: np.ndarray, k: int,
                      ef: int | None = None, batch_size: int = 32,
@@ -705,53 +715,68 @@ class ServingSearcher:
 
         With a planner attached (:meth:`attach_planner`), ``ef=None``
         partitions the batch by predicted hardness bin and runs each group
-        under its fitted setting; an explicit ``ef`` always bypasses the
-        planner and runs today's single-setting path unchanged.
+        under its fitted setting as a dense sub-batch; results reassemble
+        into caller order.  An explicit ``ef`` (or no planner) runs the
+        whole batch as one group and never consults the planner.
         """
-        if ef is None:
-            if self.planner is not None:
-                return self._search_batch_planned(queries, k, batch_size,
-                                                  deadline_ms)
-            ef = max(k, 10)
+        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         deadline = (None if deadline_ms is None
                     else time.perf_counter() + deadline_ms / 1000.0)
-        compressed = self.adc is not None
-        engine = self._engine
-        if (engine is None or engine.batch_size != batch_size
-                or engine.beam_width != self.beam_width):
-            engine = BatchSearchEngine(
-                self.adc if compressed else self.dc,
-                # Fallback never used: graph_fn always supplies a view.
-                lambda u: self._block_pin.view(u),
-                lambda q: [self._block_pin.epoch.entry],
-                excluded_fn=self._block_excluded,
-                batch_size=batch_size,
-                graph_fn=self._pin_block,
-                beam_width=self.beam_width,
-                # The epoch entry is query-independent: seed it once per
-                # block instead of once per query.
-                entry_points_block_fn=(
-                    lambda qmat: [self._block_pin.epoch.entry]),
-            )
-            self._engine = engine
+        planned = ef is None and self.planner is not None
+        if planned:
+            bins, groups = self.planner.plan(qmat)
+        else:
+            groups = [(0, np.arange(qmat.shape[0]),
+                       BinSetting(ef=ef if ef is not None else max(k, 10)))]
         sink = self.trace_sink
-        if sink is not None:
-            ndc0 = self.dc.ndc
-        try:
-            if compressed:
-                results = self._search_batch_compressed(engine, queries, k,
-                                                        ef, deadline)
-            else:
-                results = engine.search_batch(queries, k, ef,
-                                              deadline=deadline)
-            if deadline is not None:
-                n_degraded = sum(1 for r in results if r.degraded)
-                if n_degraded:
-                    self.n_degraded += n_degraded
-                    _DEGRADED.inc(n_degraded)
+        results: list[SearchResult | None] = [None] * qmat.shape[0]
+        for _b, idx, setting in groups:
             if sink is not None:
-                self._sink_batch_traces(sink, queries, results, k, ef, ndc0)
-            return results
+                ndc0 = self.dc.ndc
+            group = self._run_group(qmat[idx], k, setting, batch_size,
+                                    deadline, planned)
+            for i, r in zip(idx.tolist(), group):
+                results[i] = r
+            if sink is not None:
+                self._sink_batch_traces(sink, qmat[idx], group, k,
+                                        setting.ef, ndc0)
+        if deadline is not None:
+            self._note_degraded(results)
+        if planned:
+            self.planner.note_outcomes(bins, results)
+        return results
+
+    def search_group(self, queries: np.ndarray, k: int, setting,
+                     batch_size: int = 32,
+                     deadline: float | None = None) -> list[SearchResult]:
+        """Run one batch group under a bin's :class:`BinSetting`.
+
+        Public because the tuner measures candidate settings through this
+        exact method — fitted tables describe precisely what planned
+        serving runs.  ``route="exact"`` forces full-precision traversal
+        even on a compressed store; ``route="pq"``/``"default"`` keep the
+        ADC hot path when codes are attached.
+        """
+        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        return self._run_group(qmat, k, setting, batch_size, deadline,
+                               planned=True)
+
+    def _run_group(self, qmat: np.ndarray, k: int, setting, batch_size: int,
+                   deadline: float | None,
+                   planned: bool) -> list[SearchResult]:
+        use_adc = self.adc is not None and setting.route != "exact"
+        engine = self._engine(batch_size, self._beam(setting, use_adc),
+                              use_adc, planned)
+        try:
+            if not use_adc:
+                return engine.search_batch(qmat, k, setting.ef,
+                                           deadline=deadline)
+            adc0 = self.adc.ndc
+            prepared = self.dc.prepare_queries(qmat)
+            approx = engine.search_batch(prepared, k=k, ef=setting.ef,
+                                         deadline=deadline,
+                                         collect_visited=True, prepared=True)
+            return self._rerank(prepared, approx, k, setting.rerank, adc0)
         finally:
             if self._block_pin is not None:
                 self._block_pin.release()
@@ -773,141 +798,30 @@ class ServingSearcher:
                             frontier_peak=r.frontier_peak, batched=True,
                             degraded=r.degraded), query=row)
 
-    # -- planned path --------------------------------------------------------
+    # -- compressed: shortlist → exact re-rank -------------------------------
 
-    def _planned_block_entries(self, qmat: np.ndarray) -> list[int]:
-        """Epoch entry plus the planner's adaptive landmark entry (if any)."""
-        view = self._block_pin.view
-        entries = [self._block_pin.epoch.entry]
-        if self.planner is not None:
-            extra = self.planner.entry_for_block(
-                qmat, n_nodes=view.epoch.n_nodes, excluded=view.excluded())
-            if extra is not None and extra not in entries:
-                entries.append(extra)
-        return entries
+    def _rerank(self, qmat: np.ndarray, approx: list[SearchResult], k: int,
+                rerank: int | None, adc0: int) -> list[SearchResult]:
+        """Shortlist each ADC walk's visited set, then re-rank it exactly.
 
-    def _group_engine(self, batch_size: int, beam: int,
-                      use_adc: bool) -> BatchSearchEngine:
-        """Engine for one planned group, cached per (batch, beam, path).
-
-        Kept separate from :attr:`_engine` so the planner-off batched path
-        stays byte-for-byte on today's single engine.
+        The compressed path's only full-precision touches, shared by the
+        scalar and batched routes: every shortlist row is gathered in one
+        block call.  Neither the shortlist nor the fallback scan (for a
+        walk that surfaced nothing) may return a tombstoned/removed id, so
+        both read the live exclusion set, a superset of any pinned view's.
+        ``adc0`` is the ADC counter before the walk, for the scored tally.
         """
-        key = (batch_size, beam, use_adc)
-        engine = self._planned_engines.get(key)
-        if engine is None:
-            engine = BatchSearchEngine(
-                self.adc if use_adc else self.dc,
-                lambda u: self._block_pin.view(u),
-                lambda q: [self._block_pin.epoch.entry],
-                excluded_fn=self._block_excluded,
-                batch_size=batch_size,
-                graph_fn=self._pin_block,
-                beam_width=beam,
-                entry_points_block_fn=self._planned_block_entries,
-            )
-            self._planned_engines[key] = engine
-        return engine
-
-    def search_group(self, queries: np.ndarray, k: int, setting,
-                     batch_size: int = 32,
-                     deadline: float | None = None) -> list[SearchResult]:
-        """Run one batch group under a bin's :class:`BinSetting`.
-
-        Public because the tuner measures candidate settings through this
-        exact method — fitted tables describe precisely what serving runs.
-        ``route="exact"`` forces full-precision traversal even on a
-        compressed store; ``route="pq"``/``"default"`` keep the ADC hot
-        path when codes are attached.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        use_adc = self.adc is not None and setting.route != "exact"
-        if setting.beam_width is not None:
-            beam = int(setting.beam_width)
-        elif self.adc is not None and not use_adc:
-            # Exact route on a compressed store: the wide ADC beam exists
-            # to absorb quantization noise; full-precision walks don't pay
-            # it, so default narrow.
-            beam = 1
-        else:
-            beam = self.beam_width
-        engine = self._group_engine(batch_size, beam, use_adc)
-        try:
-            if use_adc:
-                return self._search_batch_compressed(
-                    engine, qmat, k, setting.ef, deadline,
-                    rerank=setting.rerank)
-            return engine.search_batch(qmat, k, setting.ef,
-                                       deadline=deadline)
-        finally:
-            if self._block_pin is not None:
-                self._block_pin.release()
-                self._block_pin = None
-
-    def _search_batch_planned(self, queries: np.ndarray, k: int,
-                              batch_size: int,
-                              deadline_ms: float | None
-                              ) -> list[SearchResult]:
-        """Partition a batch by predicted bin; run each group on its setting.
-
-        Per-block partitioning keeps the lock-step engine's one-gather-
-        per-hop shape — groups run as dense sub-batches, never per-query
-        fallback.  Results reassemble into caller order.
-        """
-        qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        deadline = (None if deadline_ms is None
-                    else time.perf_counter() + deadline_ms / 1000.0)
-        sink = self.trace_sink
-        bins, groups = self.planner.plan(qmat)
-        results: list[SearchResult | None] = [None] * qmat.shape[0]
-        for _b, idx, setting in groups:
-            if sink is not None:
-                ndc0 = self.dc.ndc
-            group = self.search_group(qmat[idx], k, setting,
-                                      batch_size=batch_size,
-                                      deadline=deadline)
-            for i, r in zip(idx.tolist(), group):
-                results[i] = r
-            if sink is not None:
-                self._sink_batch_traces(sink, qmat[idx], group, k,
-                                        setting.ef, ndc0)
-        if deadline is not None:
-            n_degraded = sum(1 for r in results if r.degraded)
-            if n_degraded:
-                self.n_degraded += n_degraded
-                _DEGRADED.inc(n_degraded)
-        self.planner.note_outcomes(bins, results)
-        return results
-
-    def _search_batch_compressed(self, engine: BatchSearchEngine,
-                                 queries: np.ndarray, k: int, ef: int,
-                                 deadline: float | None,
-                                 rerank: int | None = None,
-                                 ) -> list[SearchResult]:
-        """Batched ADC traversal over pinned views + one exact re-rank gather."""
         budget = max(rerank if rerank is not None else self.rerank, k)
-        adc0 = self.adc.ndc
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        qmat = self.dc.prepare_queries(queries)
-        # Beam at the caller's ef; shortlists carved from the visited set
-        # (see PQRerankSearcher.search_batch for the rationale).
-        approx = engine.search_batch(qmat, k=k, ef=max(ef, k),
-                                     deadline=deadline, collect_visited=True,
-                                     prepared=True)
-        # Live exclusion set (superset of any pinned view's): neither the
-        # shortlist nor the fallback scan may surface a tombstoned/removed
-        # id.
         excluded = self.fixer.adjacency.excluded_ids()
-        shortlists = [
-            visited_shortlist(r.visited_ids, r.visited_distances,
-                              excluded, budget)
-            for r in approx]
-        empties = [i for i, s in enumerate(shortlists) if s.size == 0]
-        if empties:
-            for i in empties:
-                table = self.adc.pq.adc_table(qmat[i])
-                shortlists[i] = fallback_shortlist(self.adc, table,
-                                                   excluded, budget)
+        shortlists = []
+        for i, r in enumerate(approx):
+            shortlist = visited_shortlist(r.visited_ids, r.visited_distances,
+                                          excluded, budget)
+            if shortlist.size == 0:
+                shortlist = fallback_shortlist(
+                    self.adc, self.adc.pq.adc_table(qmat[i]), excluded,
+                    budget)
+            shortlists.append(shortlist)
         t0 = time.perf_counter()
         results, exact_ndc = exact_rerank(
             self.dc, qmat, shortlists, k,
@@ -919,7 +833,7 @@ class ServingSearcher:
         self.rerank_ndc += exact_ndc
         self.pagein_seconds += elapsed
         if OBS.enabled:
-            _COMPRESSED_QUERIES.inc(queries.shape[0])
+            _COMPRESSED_QUERIES.inc(len(approx))
             _ADC_SCORED.inc(n_scored)
             _RERANK_NDC.observe(exact_ndc)
             _PAGEIN_SECONDS.inc(elapsed)
@@ -929,17 +843,11 @@ class ServingSearcher:
                     batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
         """Batched search returning padded (ids, distances) arrays."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
         if batch_size == 1:
-            results = (self.search(q, k=k, ef=ef) for q in queries)
+            results = [self.search(q, k=k, ef=ef) for q in queries]
         else:
             results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            ids[i, :m] = result.ids[:m]
-            distances[i, :m] = result.distances[:m]
-        return ids, distances
+        return pad_results(results, k)
 
 
 class MaintenanceScheduler:

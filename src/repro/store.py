@@ -656,8 +656,8 @@ class VectorStore:
         ADC scores are then comparable across the whole cluster.  Called
         before :meth:`build`, the codebook is stashed and used when the
         serving stack comes up; on a built store the resident codes are
-        re-encoded immediately and the searcher's cached engine is
-        invalidated (see :meth:`ServingSearcher.attach_adc
+        re-encoded immediately and the searcher's cached engines are
+        dropped (see :meth:`ServingSearcher.attach_adc
         <repro.serving.ServingSearcher.attach_adc>`).
         """
         if not pq.is_fitted:

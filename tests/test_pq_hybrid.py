@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.distances import DistanceComputer, Metric
 from repro.evalx import compute_ground_truth, evaluate_index, recall_per_query
 from repro.graphs import HNSW
-from repro.graphs.search import VisitedTable
+from repro.graphs.search import VisitedTable, greedy_search
 from repro.quantization import (ADCComputer, ProductQuantizer,
                                 PQRerankSearcher, fallback_shortlist,
-                                pq_greedy_search)
+                                visited_shortlist)
 from repro.store import VectorStore
 
 
@@ -69,6 +69,20 @@ class TestADCComputer:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
         assert adc.ndc == 32
 
+    def test_sequential_scores_equal_block_scores(self, shared_hnsw, tiny_ds):
+        """One query scored alone or as a block row gets the same bits, so
+        the scalar and batched compressed walks take the same decisions."""
+        adc = ADCComputer(shared_hnsw.dc)
+        qmat = shared_hnsw.dc.prepare_queries(tiny_ds.test_queries[:5])
+        ids = np.arange(adc.size, dtype=np.int64)
+        adc.begin_block(qmat)
+        block = [adc.block_to_queries(ids, qmat, np.full(ids.size, b))
+                 for b in range(5)]
+        for b in range(5):
+            adc.begin_query(qmat[b])
+            np.testing.assert_array_equal(adc.to_query(ids, qmat[b]),
+                                          block[b])
+
     def test_sync_is_incremental(self, fresh_hnsw, rng):
         adc = ADCComputer(fresh_hnsw.dc)
         n0 = adc.codes.shape[0]
@@ -76,6 +90,21 @@ class TestADCComputer:
         assert adc.sync() == 1
         assert adc.codes.shape[0] == n0 + 1
         assert adc.sync() == 0  # nothing new
+
+    def test_to_query_syncs_id_published_after_begin_query(self, fresh_hnsw,
+                                                          rng):
+        adc = ADCComputer(fresh_hnsw.dc)
+        q = fresh_hnsw.dc.prepare_query(
+            rng.standard_normal(16).astype(np.float32))
+        table = adc.begin_query(q)
+        fresh_hnsw.insert(rng.standard_normal(16).astype(np.float32))
+        ids = np.array([0, adc.size - 1], dtype=np.int64)
+        got = adc.to_query(ids, q)
+        assert adc.codes.shape[0] == adc.size
+        np.testing.assert_allclose(
+            got, adc.pq.adc_distances(adc.codes[ids], table),
+            rtol=1e-5, atol=1e-6)
+        assert adc.ndc == 2
 
 
 # -- bugfix regressions -------------------------------------------------------
@@ -116,7 +145,7 @@ class TestMutationRegressions:
         """
         searcher = PQRerankSearcher(shared_hnsw, rerank=40)
         q = shared_hnsw.dc.prepare_query(tiny_ds.test_queries[0])
-        table = searcher.adc.begin_query(q)
+        searcher.adc.begin_query(q)
 
         class CountingTable(VisitedTable):
             marked: list = []
@@ -127,10 +156,10 @@ class TestMutationRegressions:
 
         visited = CountingTable(shared_hnsw.dc.size)
         entries = shared_hnsw.entry_points(q)
-        ids, _, _ = pq_greedy_search(
-            searcher.pq, searcher.codes, shared_hnsw.adjacency.neighbors,
-            entries, table, k=10, ef=40, visited=visited)
-        assert ids.size > 0
+        result = greedy_search(
+            searcher.adc, shared_hnsw.adjacency.neighbors, entries, q,
+            k=10, ef=40, visited=visited, prepared=True)
+        assert result.ids.size > 0
         assert CountingTable.marked, "entries bypassed mark_many"
         assert set(CountingTable.marked[0].tolist()) == set(entries)
         for e in entries:
@@ -280,11 +309,12 @@ class TestCompressedProperties:
         query = np.random.default_rng(seed + 2).standard_normal(
             data.shape[1]).astype(np.float32)
         q = index.dc.prepare_query(query)
-        table = searcher.adc.begin_query(q)
-        shortlist, _, _ = pq_greedy_search(
-            searcher.pq, searcher.codes, index.adjacency.neighbors,
-            index.entry_points(q), table, k=15, ef=20)
-        shortlist = shortlist[:15]
+        searcher.adc.begin_query(q)
+        walk = greedy_search(
+            searcher.adc, index.adjacency.neighbors, index.entry_points(q),
+            q, k=5, ef=20, collect_visited=True, prepared=True)
+        shortlist = visited_shortlist(walk.visited_ids,
+                                      walk.visited_distances, None, 15)
         result = searcher.search(query, k=5, ef=20)
         exact = index.dc.to_query(shortlist, q)
         want = shortlist[np.argsort(exact, kind="stable")[:5]]
@@ -333,6 +363,26 @@ class TestCompressedServing:
         assert new_id not in [h[0] for h in hits]
         batched = compressed_store.search_batch(q[None, :], 5, 60)[0]
         assert new_id not in batched.ids.tolist()
+
+    def test_apply_pq_keeps_configured_beam_width(self, tiny_ds):
+        """A shipped codebook on a built store must not reset the beam."""
+        store = VectorStore(dim=tiny_ds.base.shape[1], metric=tiny_ds.metric,
+                            M=8, ef_construction=40, seed=3, serving=True,
+                            compressed=True, pq_ks=16, beam_width=2)
+        try:
+            store.add(tiny_ds.base)
+            store.build()
+            pq = ProductQuantizer(m=store.adc.pq.m, ks=16,
+                                  metric=tiny_ds.metric, seed=1)
+            pq.fit(tiny_ds.base)
+            store.apply_pq(pq)
+            searcher = store.searcher
+            assert searcher.adc.pq is pq
+            assert searcher.beam_width == 2
+            store.search_batch(tiny_ds.test_queries[:4], 10, 40)
+            assert {e.beam_width for e in searcher._engines.values()} == {2}
+        finally:
+            store.close()
 
     def test_deadline_degrades(self, compressed_store, tiny_ds):
         results = compressed_store.search_batch(

@@ -19,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import VectorStore
+from repro.distances import pairwise_distances
+from repro.evalx import compute_ground_truth, recall_per_query
 from repro.graphs.adjacency import AdjacencyStore, ObservedTombstones
 from repro.graphs.search import greedy_search
 from repro.serving import DeltaOverlay, EpochManager, MaintenanceScheduler
+from repro.tuning import BinSetting, TunedConfig
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -437,3 +440,129 @@ class TestBulkAbortSafety:
             pass
         assert scheduler.manager.current.epoch_id == epoch_before + 1
         assert scheduler.n_bulk_aborts == 0
+
+
+# -- route identity and brute-force oracle ------------------------------------
+
+N_CUT = 360          # rows present at the epoch cut; the rest arrive after
+TOMBSTONED = list(range(0, N_CUT, 30))
+ROUTE_K = 10
+ROUTE_EF = 60
+
+
+def churned_store(ds, compressed, beam_width=None):
+    """A built store with tombstones and post-cut inserts still in the
+    overlay (no merge runs), one of them deleted again."""
+    store = VectorStore(dim=ds.base.shape[1], metric=ds.metric, M=8,
+                        ef_construction=40, seed=3, merge_every=10_000,
+                        compressed=compressed, pq_ks=16, rerank=40,
+                        beam_width=beam_width)
+    store.add(ds.base[:N_CUT])
+    store.build()
+    store.delete(TOMBSTONED)
+    added = store.add(ds.base[N_CUT:])
+    store.delete([added[0]])
+    assert store.epochs.current.n_nodes == N_CUT
+    excluded = set(TOMBSTONED) | {int(added[0])}
+    assert store.searcher.fixer.adjacency.excluded_ids() == excluded
+    return store, excluded
+
+
+def two_bin_config(ds, queries, compressed):
+    """A hand-made planner table splitting ``queries`` at median hardness;
+    on a compressed store the hard bin takes the exact route."""
+    landmarks = ds.base[:N_CUT:45]
+    hardness = pairwise_distances(queries, landmarks, ds.metric).min(axis=1)
+    return TunedConfig(
+        k=ROUTE_K, target_recall=0.9, edges=[float(np.median(hardness))],
+        bins=[BinSetting(ef=ROUTE_EF),
+              BinSetting(ef=ROUTE_EF + 20,
+                         route="exact" if compressed else "default")],
+        landmarks=landmarks.tolist(), default_ef=ROUTE_EF,
+        metric=ds.metric)
+
+
+def serve_all_routes(store, ds, queries, compressed):
+    searcher = store.searcher
+    routes = {
+        "scalar": [searcher.search(q, ROUTE_K, ef=ROUTE_EF) for q in queries],
+        "batched": searcher.search_batch(queries, ROUTE_K, ROUTE_EF,
+                                         batch_size=8),
+    }
+    store.apply_tuned_config(two_bin_config(ds, queries, compressed))
+    try:
+        routes["planned-scalar"] = [searcher.search(q, ROUTE_K)
+                                    for q in queries]
+        routes["planned-batched"] = searcher.search_batch(
+            queries, ROUTE_K, None, batch_size=8)
+        planner = searcher.planner
+        assert set(planner.predict(queries).tolist()) == {0, 1}
+    finally:
+        store.apply_tuned_config(None)
+    return routes
+
+
+@pytest.mark.parametrize("compressed", [False, True],
+                         ids=["exact", "compressed"])
+def test_every_route_clears_oracle(tiny_ds, compressed):
+    """Scalar, batched and planned routes never surface an excluded id and
+    each clears a recall@10 floor against brute force over live ids."""
+    store, excluded = churned_store(tiny_ds, compressed)
+    try:
+        queries = tiny_ds.test_queries
+        live = np.array([i for i in range(tiny_ds.base.shape[0])
+                         if i not in excluded])
+        gt = compute_ground_truth(tiny_ds.base[live], queries, ROUTE_K,
+                                  tiny_ds.metric)
+        truth = live[gt.ids]
+        for name, results in serve_all_routes(store, tiny_ds, queries,
+                                              compressed).items():
+            for r in results:
+                assert not set(r.ids.tolist()) & excluded, name
+            found = np.stack([r.ids[:ROUTE_K] for r in results])
+            recall = float(recall_per_query(found, truth).mean())
+            assert recall >= 0.9, (name, recall)
+    finally:
+        store.close()
+
+
+def test_scalar_compressed_matches_batched_at_beam_one(tiny_ds):
+    """The scalar ADC walk and the engine at width 1 visit the same nodes,
+    so the shared shortlist → re-rank step returns identical answers."""
+    store, _ = churned_store(tiny_ds, compressed=True, beam_width=1)
+    try:
+        searcher = store.searcher
+        queries = tiny_ds.test_queries
+        scalar = [searcher.search(q, ROUTE_K, ef=ROUTE_EF) for q in queries]
+        batched = searcher.search_batch(queries, ROUTE_K, ROUTE_EF,
+                                        batch_size=8)
+        for s, b in zip(scalar, batched):
+            np.testing.assert_array_equal(s.ids, b.ids)
+            np.testing.assert_array_equal(s.distances, b.distances)
+            assert s.n_hops == b.n_hops
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("compressed", [False, True],
+                         ids=["exact", "compressed"])
+def test_batch_sizes_share_one_engine(tiny_ds, compressed):
+    """Every block size reuses one cached engine per route, so a front door
+    sending windows of varying length does not pile up visited tables."""
+    store, _ = churned_store(tiny_ds, compressed)
+    try:
+        searcher = store.searcher
+        queries = tiny_ds.test_queries
+        expected = searcher.search_batch(queries, ROUTE_K, ROUTE_EF,
+                                         batch_size=len(queries))
+        for batch_size in (1, 3, 8, len(queries)):
+            got = searcher.search_batch(queries, ROUTE_K, ROUTE_EF,
+                                        batch_size=batch_size)
+            for e, g in zip(expected, got):
+                np.testing.assert_array_equal(e.ids, g.ids)
+                np.testing.assert_array_equal(e.distances, g.distances)
+        assert len(searcher._engines) == 1
+        with pytest.raises(ValueError, match="batch_size"):
+            searcher.search_batch(queries, ROUTE_K, ROUTE_EF, batch_size=0)
+    finally:
+        store.close()
