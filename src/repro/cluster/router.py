@@ -54,7 +54,7 @@ from repro.cluster.stats import merge_stats
 from repro.cluster.worker import shard_wal_dir, worker_main
 from repro.control.policy import make_policy
 from repro.distances import Metric
-from repro.graphs.search import SearchResult, pad_results
+from repro.graphs.search import SearchResult
 from repro.obs import OBS, SECONDS_BUCKETS
 from repro.quantization.pq import ProductQuantizer
 from repro.tuning import coerce_tuned_config
@@ -639,15 +639,6 @@ class ClusterRouter:
 
     # -- reads ---------------------------------------------------------------
 
-    def _live_replica(self, shard_id: int, skip: set[int]) -> ShardHandle | None:
-        """Plain liveness pick (round robin), ignoring breaker state."""
-        replicas = self.handles[shard_id]
-        for i in range(self.n_replicas):
-            handle = replicas[(self._rr + i) % self.n_replicas]
-            if handle.alive and handle.replica_id not in skip:
-                return handle
-        return None
-
     def _pick_replica(self, shard_id: int,
                       skip: set[int]) -> ShardHandle | None:
         """Breaker-aware read pick: route around OPEN replicas, run probes.
@@ -660,8 +651,14 @@ class ClusterRouter:
         again, straggling past ``probe_timeout_s`` → reopen with a longer
         backoff.  Handles still owing stale frames get a tiny drain
         budget; ones that cannot catch up are skipped, not waited on.
+
+        When no breaker-allowed replica is left, a live breaker-blocked one
+        serves the read anyway: a partition whose replicas are all slow
+        answers late instead of dropping out of the merge.  Such a read
+        leaves the breaker state alone.
         """
         replicas = self.handles[shard_id]
+        blocked = []
         for i in range(self.n_replicas):
             handle = replicas[(self._rr + i) % self.n_replicas]
             if not handle.alive or handle.replica_id in skip:
@@ -671,15 +668,27 @@ class ClusterRouter:
                 self._check_probe(handle)
             if breaker.state == resilience.OPEN and breaker.probe_due():
                 self._send_probe(handle)
-            if not handle.alive or not breaker.allows():
+            if not handle.alive:
                 continue
-            if handle.owes and not resilience.drain_stale(handle, 0.02):
-                # Busy (or just died draining): do not wait on it.
-                if not handle.alive:
-                    self._note_failure()
-                continue
-            return handle
+            if not breaker.allows():
+                blocked.append(handle)
+            elif self._caught_up(handle):
+                return handle
+        for handle in blocked:
+            if handle.alive and self._caught_up(handle):
+                return handle
         return None
+
+    def _caught_up(self, handle: ShardHandle) -> bool:
+        """Drain a handle's stale frames within a tiny budget.
+
+        False means busy (or just died draining): do not wait on it.
+        """
+        if not handle.owes or resilience.drain_stale(handle, 0.02):
+            return True
+        if not handle.alive:
+            self._note_failure()
+        return False
 
     def _send_probe(self, handle: ShardHandle) -> None:
         """Fire-and-forget half-open probe; the reply is checked later."""
@@ -831,13 +840,6 @@ class ClusterRouter:
                 self.n_degraded += 1
                 _DEGRADED.inc()
         return results
-
-    def search_many(self, queries: np.ndarray, k: int,
-                    ef: int | None = None,
-                    batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (ids, distances) arrays, mirroring the single-store API."""
-        return pad_results(self.search_batch(queries, k, ef,
-                                             batch_size=batch_size), k)
 
     # -- failure handling ----------------------------------------------------
 

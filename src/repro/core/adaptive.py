@@ -4,24 +4,28 @@ Fig. 9 of the paper shows that the ef needed for a target recall varies
 strongly with a test query's similarity to the historical workload: queries
 near fixed regions need small ef; dissimilar queries need much more.  The
 proposed strategy — compute the new query's similarity to the history, then
-pick ef accordingly — is implemented here:
+pick ef accordingly — is the autotuner's per-hardness-bin table with the
+history as its landmark set:
 
-1. :meth:`AdaptiveSearcher.calibrate` bins a calibration query set by
-   distance-to-nearest-historical-query and, per bin, finds the smallest ef
-   reaching the target recall.
-2. :meth:`AdaptiveSearcher.search` measures the incoming query's history
-   distance (one brute-force pass over the compact history set) and applies
-   the bin's ef.
+1. :meth:`AdaptiveSearcher.calibrate` scores a calibration query set by
+   distance to the nearest historical query and fits a
+   :class:`~repro.tuning.TunedConfig` through the tuner (quantile bins, the
+   cheapest grid ef per bin under the tuner's per-bin recall floor).
+2. :meth:`AdaptiveSearcher.search` predicts the incoming query's bin with a
+   :class:`~repro.tuning.HardnessPlanner` over that config (one brute-force
+   pass over the history) and applies the bin's ef.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.distances import Metric, pairwise_distances
+from repro.distances import pairwise_distances
 from repro.evalx.ground_truth import GroundTruth
-from repro.evalx.metrics import recall_per_query
-from repro.graphs.search import SearchResult, pad_results
+from repro.graphs.search import SearchResult
+from repro.tuning.config import TunedConfig
+from repro.tuning.planner import HardnessPlanner
+from repro.tuning.tuner import _fit_bins, suggest_ef_grid
 from repro.utils.validation import check_matrix, check_positive
 
 
@@ -33,22 +37,12 @@ class AdaptiveSearcher:
         self.index = index
         self.history = check_matrix(history, "history")
         self.n_bins = n_bins
-        self._edges: np.ndarray | None = None
-        self._bin_ef: list[int] | None = None
-        self.fallback_ef: int | None = None
+        self.config: TunedConfig | None = None
+        self.planner: HardnessPlanner | None = None
 
     @property
     def dc(self):
         return self.index.dc
-
-    @property
-    def metric(self) -> Metric:
-        return self.index.dc.metric
-
-    def history_distance(self, queries: np.ndarray) -> np.ndarray:
-        """Distance from each query to its nearest historical query."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        return pairwise_distances(queries, self.history, self.metric).min(axis=1)
 
     def calibrate(
         self,
@@ -60,77 +54,36 @@ class AdaptiveSearcher:
     ) -> dict:
         """Learn per-similarity-bin ef values from a calibration set.
 
-        Bins are similarity quantiles; per bin the smallest grid ef whose
-        mean recall meets ``target_recall`` is kept (grid maximum if never
-        met).  Returns the calibration table for inspection.
+        Bins are quantiles of the distance to the nearest historical query.
+        Per bin the tuner keeps the cheapest grid ef whose mean recall meets
+        ``target_recall`` (capped at the best the grid reaches there) and
+        never falls below the recall the flat ``default_ef`` baseline
+        measures in that bin; empty bins inherit the nearest fitted bin.
+        ``ef_grid`` defaults to :func:`~repro.tuning.suggest_ef_grid`.
+        Returns the tuner's ``bin_table`` (string bin keys) for inspection.
         """
         queries = check_matrix(queries, "queries")
-        if ef_grid is None:
-            ef_grid = [k, 2 * k, 4 * k, 8 * k, 16 * k]
-        ef_grid = sorted(set(ef_grid))
-        sims = self.history_distance(queries)
-        quantiles = np.linspace(0, 1, self.n_bins + 1)[1:-1]
-        self._edges = np.quantile(sims, quantiles)
-        bins = np.digitize(sims, self._edges)
-
-        gt_k = gt.top(k)
-        fitted: list[int | None] = []
-        table = {}
-        for b in range(self.n_bins):
-            members = np.flatnonzero(bins == b)
-            chosen: int | None = None
-            if members.size:
-                chosen = ef_grid[-1]
-                for ef in ef_grid:
-                    found = self._grid_ids(queries, members, k, ef)
-                    recall = float(recall_per_query(found, gt_k.ids[members]).mean())
-                    if recall >= target_recall:
-                        chosen = ef
-                        break
-            fitted.append(chosen)
-            table[b] = {"n_queries": int(members.size), "ef": chosen}
-        # Empty bins inherit the nearest *fitted* bin's ef (ties go to the
-        # harder side) instead of silently pinning the grid maximum: no
-        # calibration query ever landed there, so the grid max would claim a
-        # precision the data cannot support.
-        fit_idx = [b for b, ef in enumerate(fitted) if ef is not None]
-        self._bin_ef = []
-        for b, ef in enumerate(fitted):
-            if ef is None:
-                src = min(fit_idx, key=lambda f: (abs(f - b), -f))
-                ef = fitted[src]
-                table[b]["ef"] = ef
-                table[b]["inherited_from"] = src
-            self._bin_ef.append(ef)
-        self.fallback_ef = max(self._bin_ef)
-        return table
-
-    def _grid_ids(self, queries: np.ndarray, members: np.ndarray, k: int,
-                  ef: int) -> np.ndarray:
-        """Top-k id matrix for one (bin, ef) calibration cell.
-
-        Routed through the index's batched engine when it has one —
-        lock-step batched search is bit-identical to the sequential path
-        at its defaults, so the chosen efs do not change; only the
-        O(bins x grid x queries) python loop does.
-        """
-        search_batch = getattr(self.index, "search_batch", None)
-        if search_batch is not None:
-            results = search_batch(queries[members], k=k, ef=ef)
-        else:
-            results = [self.index.search(queries[i], k=k, ef=ef)
-                       for i in members]
-        return pad_results(results, k)[0]
+        metric = self.index.dc.metric
+        # The calibration queries are not in the landmark set, so their
+        # history distance is already out-of-fold: no cross-fit needed.
+        hardness = pairwise_distances(queries, self.history,
+                                      metric).min(axis=1)
+        self.config = _fit_bins(
+            self.index, queries, k, self.history, hardness,
+            target_recall=target_recall,
+            ef_grid=suggest_ef_grid(k) if ef_grid is None else ef_grid,
+            n_bins=self.n_bins, batch_size=64, gt_ids=gt.top(k).ids,
+            metric=metric, refine_routes=False)
+        self.planner = HardnessPlanner(self.config, adapt=False)
+        return self.config.meta["bin_table"]
 
     def ef_for(self, query: np.ndarray) -> int:
         """The calibrated ef for one query."""
-        if self._bin_ef is None or self._edges is None:
+        if self.planner is None:
             raise RuntimeError(
                 "AdaptiveSearcher has no calibrated bins: call calibrate() "
                 "with a calibration query set before ef_for()/search()")
-        sim = float(self.history_distance(query[None, :])[0])
-        b = int(np.digitize([sim], self._edges)[0])
-        return self._bin_ef[b]
+        return self.config.setting(int(self.planner.predict(query)[0])).ef
 
     def search(self, query: np.ndarray, k: int, ef: int | None = None) -> SearchResult:
         """Search with the per-query calibrated ef (explicit ef overrides)."""

@@ -32,8 +32,7 @@ from repro.core.escape_hardness import EscapeHardnessResult, escape_hardness
 from repro.core.ngfix import FixOutcome, ngfix_query
 from repro.core.rfix import RFixOutcome, rfix_query
 from repro.evalx.ground_truth import compute_ground_truth
-from repro.graphs.base import GraphIndex, medoid_id
-from repro.graphs.search import BatchSearchEngine, SearchResult, greedy_search
+from repro.graphs.base import GraphIndex, GraphSearch, medoid_id
 from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_matrix
@@ -100,8 +99,11 @@ class QueryFixRecord:
     rfix_edges: int
 
 
-class NGFixer:
-    """Dynamically detect and fix graph defects around (historical) queries."""
+class NGFixer(GraphSearch):
+    """Dynamically detect and fix graph defects around (historical) queries.
+
+    Searches the wrapped index's graph from the medoid (:class:`GraphSearch`).
+    """
 
     def __init__(self, index: GraphIndex, config: FixConfig | None = None):
         self.index = index
@@ -115,7 +117,6 @@ class NGFixer:
         # (exact = |Q| * n, approximate = graph-search work).
         self.preprocess_ndc = 0
         self._rng = ensure_rng(self.config.seed)
-        self._batch_engine: BatchSearchEngine | None = None
 
     # -- index protocol -----------------------------------------------------
 
@@ -127,39 +128,12 @@ class NGFixer:
     def adjacency(self):
         return self.index.adjacency
 
+    @property
+    def _visited(self):
+        return self.index._visited
+
     def entry_points(self, query: np.ndarray) -> list[int]:
         return [self.entry]
-
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False) -> SearchResult:
-        """Greedy search from the medoid over the fixed graph."""
-        if ef is None:
-            ef = max(k, 10)
-        q = self.dc.prepare_query(query)
-        return greedy_search(
-            self.dc, self.index._neighbors_fn(), [self.entry], q, k=k, ef=ef,
-            visited=self.index._visited,
-            excluded=self.adjacency.excluded_ids(),
-            collect_visited=collect_visited, prepared=True,
-        )
-
-    def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
-                     batch_size: int = 32) -> list[SearchResult]:
-        """Batched medoid-entry search; same results as per-query :meth:`search`."""
-        if ef is None:
-            ef = max(k, 10)
-        engine = self._batch_engine
-        if engine is None or engine.batch_size != batch_size:
-            engine = BatchSearchEngine(
-                self.dc,
-                self.adjacency.neighbors,
-                self.entry_points,
-                excluded_fn=self.adjacency.excluded_ids,
-                batch_size=batch_size,
-                graph_fn=self.adjacency.traversal,
-            )
-            self._batch_engine = engine
-        return engine.search_batch(queries, k, ef)
 
     def stats(self) -> dict:
         """Index statistics plus fixing totals."""
@@ -275,7 +249,7 @@ class NGFixer:
                 expand_ef=config.rfix_expand_ef,
                 max_extra_degree=config.max_extra_degree,
                 max_rounds=config.rfix_max_rounds,
-                visited=self.index._visited,
+                visited=self._visited,
             )
         record = QueryFixRecord(
             query_index=query_index,
@@ -362,7 +336,7 @@ class NGFixer:
             search_ef=search_ef, expand_ef=self.config.rfix_expand_ef,
             max_extra_degree=self.config.max_extra_degree,
             max_rounds=self.config.rfix_max_rounds,
-            visited=self.index._visited,
+            visited=self._visited,
         )
         self.records.append(QueryFixRecord(
             query_index=query_index, round_k=round_k, hardness=0.0,

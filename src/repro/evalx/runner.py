@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.evalx.ground_truth import GroundTruth
 from repro.evalx.metrics import recall_per_query, recall_percentiles, rderr_per_query
+from repro.graphs.search import pad_results
 from repro.obs import OBS
 from repro.utils.parallel import chunk_bounds, effective_workers, parallel_map
 from repro.utils.validation import check_positive
@@ -100,8 +101,6 @@ def evaluate_index(
 
     def run_chunk(bounds: tuple[int, int]):
         start, stop = bounds
-        c_ids = np.empty((stop - start, k), dtype=np.int64)
-        c_d = np.empty((stop - start, k), dtype=np.float64)
         ndc0 = index.dc.ndc
         adc0 = getattr(index, "adc_scored", 0)
         if batch_size > 1:
@@ -110,13 +109,7 @@ def evaluate_index(
         else:
             results = (index.search(query, k=k, ef=ef)
                        for query in queries[start:stop])
-        for i, result in enumerate(results):
-            m = min(k, len(result.ids))
-            c_ids[i, :m] = result.ids[:m]
-            c_d[i, :m] = result.distances[:m]
-            if m < k:  # pad short results with sentinel misses
-                c_ids[i, m:] = -1
-                c_d[i, m:] = np.inf
+        c_ids, c_d = pad_results(results, k)  # short rows: -1/inf misses
         ndc_delta = index.dc.ndc - ndc0
         index.dc.ndc = ndc0
         adc_delta = getattr(index, "adc_scored", 0) - adc0

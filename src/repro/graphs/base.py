@@ -10,7 +10,7 @@ import numpy as np
 from repro.distances import DistanceComputer, Metric
 from repro.graphs.adjacency import AdjacencyStore
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search, pad_results)
+                                 greedy_search)
 
 
 def medoid_id(dc: DistanceComputer) -> int:
@@ -28,39 +28,16 @@ def medoid_id(dc: DistanceComputer) -> int:
     return int(np.argmin(dists))
 
 
-class GraphIndex(abc.ABC):
-    """Common shell for all graph indexes.
+class GraphSearch:
+    """Algorithm 1 over ``self.adjacency`` from ``self.entry_points``.
 
-    Subclasses populate ``self.adjacency`` (an :class:`AdjacencyStore` over
-    the bottom search layer) and implement :meth:`entry_points`.  Search runs
-    Algorithm 1 over the combined base+extra adjacency, honoring tombstones.
+    The one search body for :class:`GraphIndex` and the wrappers that only
+    change where a search enters (:class:`~repro.core.NGFixer`,
+    :class:`~repro.graphs.entry.MultiEntryIndex`).  The owner provides
+    ``dc``, ``adjacency``, ``entry_points`` and a ``_visited`` table.
     """
 
-    def __init__(self, data: np.ndarray, metric: Metric | str):
-        self.dc = DistanceComputer(data, metric)
-        self.adjacency = AdjacencyStore(self.dc.size)
-        self._visited = VisitedTable(self.dc.size)
-        self._batch_engine: BatchSearchEngine | None = None
-
-    @property
-    def size(self) -> int:
-        return self.dc.size
-
-    @property
-    def dim(self) -> int:
-        return self.dc.dim
-
-    @property
-    def metric(self) -> Metric:
-        return self.dc.metric
-
-    @abc.abstractmethod
-    def entry_points(self, query: np.ndarray) -> list[int]:
-        """Starting node ids for a (prepared) query."""
-
-    def freeze(self):
-        """Force a frozen CSR snapshot of the adjacency (see AdjacencyStore)."""
-        return self.adjacency.freeze()
+    _batch_engine: BatchSearchEngine | None = None
 
     def _neighbors_fn(self):
         """The traversal callable for the current store state.
@@ -94,9 +71,15 @@ class GraphIndex(abc.ABC):
         )
 
     def _engine(self, batch_size: int) -> BatchSearchEngine:
-        """The lazily built batch engine (recreated when batch_size changes)."""
+        """The lazily built batch engine, sized to this call's batch.
+
+        The engine reads ``batch_size`` only to chunk its input and grows
+        its visited table on demand, so one engine serves every size.
+        """
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         engine = self._batch_engine
-        if engine is None or engine.batch_size != batch_size:
+        if engine is None:
             engine = BatchSearchEngine(
                 self.dc,
                 self.adjacency.neighbors,
@@ -106,6 +89,7 @@ class GraphIndex(abc.ABC):
                 graph_fn=self.adjacency.traversal,
             )
             self._batch_engine = engine
+        engine.batch_size = batch_size
         return engine
 
     def search_batch(self, queries: np.ndarray, k: int, ef: int | None = None,
@@ -120,21 +104,39 @@ class GraphIndex(abc.ABC):
             ef = max(k, 10)
         return self._engine(batch_size).search_batch(queries, k, ef)
 
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Search a batch; returns (ids, distances) of shape (nq, k).
 
-        Rows whose graph region yields fewer than k results are padded with
-        id -1 / distance inf.  Queries run through the batch engine;
-        ``batch_size=1`` falls back to the sequential per-query loop (the
-        two paths return identical results).
-        """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        if batch_size == 1:
-            results = [self.search(query, k=k, ef=ef) for query in queries]
-        else:
-            results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        return pad_results(results, k)
+class GraphIndex(GraphSearch, abc.ABC):
+    """Common shell for all graph indexes.
+
+    Subclasses populate ``self.adjacency`` (an :class:`AdjacencyStore` over
+    the bottom search layer) and implement :meth:`entry_points`.  Search runs
+    Algorithm 1 over the combined base+extra adjacency, honoring tombstones.
+    """
+
+    def __init__(self, data: np.ndarray, metric: Metric | str):
+        self.dc = DistanceComputer(data, metric)
+        self.adjacency = AdjacencyStore(self.dc.size)
+        self._visited = VisitedTable(self.dc.size)
+
+    @property
+    def size(self) -> int:
+        return self.dc.size
+
+    @property
+    def dim(self) -> int:
+        return self.dc.dim
+
+    @property
+    def metric(self) -> Metric:
+        return self.dc.metric
+
+    @abc.abstractmethod
+    def entry_points(self, query: np.ndarray) -> list[int]:
+        """Starting node ids for a (prepared) query."""
+
+    def freeze(self):
+        """Force a frozen CSR snapshot of the adjacency (see AdjacencyStore)."""
+        return self.adjacency.freeze()
 
     def clone(self) -> "GraphIndex":
         """An independent copy sharing nothing mutable with the original.

@@ -20,8 +20,7 @@ import abc
 import numpy as np
 
 from repro.distances import DistanceComputer, pairwise_distances
-from repro.graphs.base import GraphIndex, medoid_id
-from repro.graphs.search import SearchResult, greedy_search
+from repro.graphs.base import GraphIndex, GraphSearch, medoid_id
 from repro.quantization.kmeans import kmeans
 from repro.utils.rng_utils import ensure_rng
 from repro.utils.validation import check_positive
@@ -83,7 +82,7 @@ class CentroidsEntry(EntryStrategy):
         return [int(self._anchor_ids[j]) for j in order]
 
 
-class MultiEntryIndex:
+class MultiEntryIndex(GraphSearch):
     """Wrap any graph index with a pluggable entry strategy."""
 
     def __init__(self, index: GraphIndex, strategy: EntryStrategy):
@@ -98,17 +97,9 @@ class MultiEntryIndex:
     def adjacency(self):
         return self.index.adjacency
 
+    @property
+    def _visited(self):
+        return self.index._visited
+
     def entry_points(self, query: np.ndarray) -> list[int]:
         return self.strategy.entries(self.index.dc, query)
-
-    def search(self, query: np.ndarray, k: int, ef: int | None = None,
-               collect_visited: bool = False) -> SearchResult:
-        if ef is None:
-            ef = max(k, 10)
-        q = self.index.dc.prepare_query(query)
-        return greedy_search(
-            self.index.dc, self.index.adjacency.neighbors,
-            self.strategy.entries(self.index.dc, q), q, k=k, ef=ef,
-            visited=self.index._visited,
-            excluded=self.index.adjacency.excluded_ids(),
-            collect_visited=collect_visited, prepared=True)

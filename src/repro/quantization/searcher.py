@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.distances import DistanceComputer
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search, pad_results)
+                                 greedy_search)
 from repro.quantization.adc import ADCComputer
 from repro.quantization.pq import ProductQuantizer
 from repro.utils.validation import check_positive
@@ -256,9 +256,3 @@ class PQRerankSearcher:
         self.adc_scored += self.adc.ndc - adc0
         self.rerank_ndc += exact_ndc
         return results
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Batched search returning padded (ids, distances) arrays."""
-        return pad_results(self.search_batch(queries, k, ef,
-                                             batch_size=batch_size), k)

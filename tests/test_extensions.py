@@ -13,8 +13,10 @@ from repro.core import (
     ngfix_plus_query,
 )
 from repro.core.ngfix_plus import perturb_within_ball
+from repro.distances import pairwise_distances
 from repro.evalx import compute_ground_truth, recall_at_k
 from repro.graphs import HNSW
+from repro.graphs.search import pad_results
 
 
 class TestAugment:
@@ -222,7 +224,7 @@ class TestCachedSearcher:
 
 
 class TestCachedSearcherBatch:
-    """Regression: evaluation harnesses call search_batch/search_many, which
+    """Regression: evaluation harnesses call search_batch, which
     CachedSearcher used to lack — wrapping an index silently bypassed the
     cache on every batched run."""
 
@@ -251,8 +253,9 @@ class TestCachedSearcherBatch:
 
     def test_search_many_shapes_and_padding(self, tiny_ds, shared_hnsw):
         searcher = CachedSearcher(shared_hnsw)
-        ids, dists = searcher.search_many(tiny_ds.test_queries[:5], k=10,
-                                          ef=30, batch_size=4)
+        ids, dists = pad_results(
+            searcher.search_batch(tiny_ds.test_queries[:5], k=10, ef=30,
+                                  batch_size=4), 10)
         assert ids.shape == (5, 10) and dists.shape == (5, 10)
         assert (ids >= 0).all()  # tiny graph still yields full top-10
 
@@ -296,13 +299,14 @@ class TestAdaptiveSearcher:
             searcher.ef_for(tiny_ds.test_queries[0])
 
     def test_calibration_table(self, calibrated):
-        assert calibrated.fallback_ef in (10, 20, 40, 80)
-        assert len(calibrated._bin_ef) == 2
+        assert calibrated.config.default_ef in (10, 20, 40, 80)
+        assert calibrated.config.n_bins == 2
+        assert set(calibrated.config.meta["bin_table"]) == {"0", "1"}
 
     def test_bin_efs_come_from_grid(self, calibrated):
         # (On an unfixed index similarity does not order hardness, so no
         # monotonicity is asserted here — Fig. 9's effect needs a fixed graph.)
-        assert all(ef in (10, 20, 40, 80) for ef in calibrated._bin_ef)
+        assert all(b.ef in (10, 20, 40, 80) for b in calibrated.config.bins)
 
     def test_search_meets_target_on_average(self, calibrated, tiny_ds, tiny_gt):
         found = np.vstack([calibrated.search(q, k=10).ids[:10]
@@ -310,9 +314,14 @@ class TestAdaptiveSearcher:
         assert recall_at_k(found, tiny_gt.top(10).ids) >= 0.85
 
     def test_history_distance_shape(self, calibrated, tiny_ds):
-        d = calibrated.history_distance(tiny_ds.test_queries[:5])
+        d = calibrated.planner.hardness(tiny_ds.test_queries[:5])
         assert d.shape == (5,)
         assert (d >= 0).all()
+        # The history is the landmark set: hardness is history distance.
+        expect = pairwise_distances(tiny_ds.test_queries[:5],
+                                    tiny_ds.train_queries,
+                                    tiny_ds.metric).min(axis=1)
+        assert np.allclose(d, expect)
 
     def test_empty_bins_inherit_nearest_fitted_ef(self, tiny_ds,
                                                   shared_hnsw, tiny_gt):
@@ -334,8 +343,9 @@ class TestAdaptiveSearcher:
             assert row["ef"] == table[src]["ef"]
             if b != src:
                 assert row["n_queries"] == 0
-                assert row["inherited_from"] == src
+                assert row["inherited_from"] == int(src)
+        assert "inherited_from" not in table[src]
         # The inherited ef is the fitted one, not the grid max (unless the
         # fitted bin itself needed it).
         if table[src]["ef"] != 320:
-            assert all(ef != 320 for ef in searcher._bin_ef)
+            assert all(b.ef != 320 for b in searcher.config.bins)

@@ -376,6 +376,33 @@ class TestHedgedGather:
             assert victim.owes == 0
             assert victim.rpc({"op": "ping"})["ok"] is True
 
+    def test_partition_with_every_breaker_open_still_answers(
+            self, cluster_data):
+        # Regression: a latency trip on the healthy replica while the gray
+        # one is OPEN left partition 0 with no eligible replica, so it
+        # dropped out of every answer (degraded) although both replicas
+        # were alive.  A blocked-but-live replica must serve the read.
+        base, queries = cluster_data
+        with ClusterRouter(dim=DIM, metric="l2", n_shards=2, n_replicas=2,
+                           M=8, ef_construction=40, seed=3,
+                           breaker_config={"backoff_base_s": 3600.0,
+                                           "jitter": 0.0}) as router:
+            router.load(base)
+            shard0_gids = {
+                int(g) for g in router.handles[0][0].rpc(
+                    {"op": "gid_list"})["gids"].tolist()}
+            for handle in router.handles[0]:
+                handle.breaker.trip("latency")
+            results = router.search_batch(queries[:6], 10)
+            assert all(not r.degraded for r in results)
+            assert all(len(r.ids) == 10 for r in results)
+            assert any(int(g) in shard0_gids
+                       for r in results for g in r.ids)
+            # The fallback read re-admits nobody: only a probe closes.
+            assert all(h.breaker.state == resilience.OPEN
+                       for h in router.handles[0])
+            assert router.live_replicas() == 4
+
     def test_hedge_delay_override_and_ewma_default(self, cluster_data):
         base, _ = cluster_data
         with ClusterRouter(dim=DIM, metric="l2", n_shards=2, n_replicas=2,
